@@ -63,6 +63,16 @@ import (
 	"github.com/scorpiondb/scorpion/internal/server"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout, so
+// slow or abandoned connections cannot pin server goroutines. There is no
+// read or write timeout on the body or response: a sync /explain may
+// legitimately run for as long as -explain-timeout allows.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // csvFlags collects repeated -csv values of the form "name=path" or "path"
 // (name derived from the file's base name).
 type csvFlags []string
@@ -157,9 +167,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	httpSrv := &http.Server{
-		Addr:        *addr,
-		Handler:     srv,
-		BaseContext: func(net.Listener) context.Context { return ctx },
+		Addr:              *addr,
+		Handler:           srv,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	drained := make(chan struct{})
 	go func() {

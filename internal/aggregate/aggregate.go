@@ -18,7 +18,6 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -51,12 +50,15 @@ func (s State) Clone() State {
 // computable from state(D) and state(S) alone.
 type Removable interface {
 	Func
-	// State summarizes a value multiset into a constant-size tuple.
-	State(vals []float64) State
+	// State summarizes a value multiset into a constant-size tuple. It
+	// writes the tuple into dst's storage when dst has the capacity (dst
+	// may be nil), so a hot loop that keeps dst allocates nothing.
+	State(dst State, vals []float64) State
 	// Update combines n disjoint states into the state of their union.
 	Update(states ...State) State
-	// Remove computes state(D−S) from state(D) and state(S), where S ⊆ D.
-	Remove(d, s State) State
+	// Remove computes state(D−S) from state(D) and state(S), where S ⊆ D,
+	// writing into dst's storage like State. dst may alias d or s.
+	Remove(dst, d, s State) State
 	// Recover recomputes the aggregate result from a state.
 	Recover(s State) float64
 }
@@ -119,11 +121,3 @@ func (u UDA) Compute(vals []float64) float64 { return u.Fn(vals) }
 
 // Independent implements Func.
 func (u UDA) Independent() bool { return u.IsIndependent }
-
-// sortedCopy returns vals sorted ascending without mutating the input.
-func sortedCopy(vals []float64) []float64 {
-	c := make([]float64, len(vals))
-	copy(c, vals)
-	sort.Float64s(c)
-	return c
-}

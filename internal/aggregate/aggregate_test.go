@@ -3,6 +3,7 @@ package aggregate
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +68,71 @@ func TestMedianOddEven(t *testing.T) {
 	}
 }
 
+// sortMedian is the sort-based reference Median.Compute replaced.
+func sortMedian(vals []float64) float64 {
+	if len(vals) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// Property: selection-median equals the sort-based median bit for bit,
+// over odd and even lengths drawn from a small pool (so ties are common)
+// that holds NaN and ±Inf, and on sorted, reversed and all-equal inputs
+// that defeat naive pivots. Signed zeros are left out: they compare
+// equal, so which one lands in the middle is unspecified for both.
+func TestMedianSelectionMatchesSort(t *testing.T) {
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -3, -1, 0, 1, 2, 2.5, 7}
+	rng := rand.New(rand.NewSource(11))
+	check := func(vals []float64) {
+		t.Helper()
+		in := append([]float64(nil), vals...)
+		got, want := (Median{}).Compute(vals), sortMedian(vals)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("median of %v = %v, sort-based %v", vals, got, want)
+		}
+		for i := range in {
+			if math.Float64bits(in[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("median mutated its input: %v → %v", in, vals)
+			}
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		n := 1 + rng.Intn(80)
+		if i%100 == 0 {
+			n = 1000 + rng.Intn(2)
+		}
+		vals := make([]float64, n)
+		for j := range vals {
+			if rng.Intn(2) == 0 {
+				vals[j] = pool[rng.Intn(len(pool))]
+			} else {
+				vals[j] = float64(rng.Intn(40)) - 20
+			}
+		}
+		check(vals)
+	}
+	for _, n := range []int{1, 2, 3, 4, 511, 512, 2048} {
+		asc := make([]float64, n)
+		desc := make([]float64, n)
+		same := make([]float64, n)
+		for j := range asc {
+			asc[j] = float64(j)
+			desc[j] = float64(n - j)
+			same[j] = 4
+		}
+		check(asc)
+		check(desc)
+		check(same)
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"sum", "COUNT", "Avg", "mean", "variance", "var", "stddev", "std", "min", "max", "median"} {
 		if _, err := ByName(name); err != nil {
@@ -86,13 +152,13 @@ func TestPaperAvgExample(t *testing.T) {
 		t.Fatalf("avg = %v", avg)
 	}
 	// Removing T6 yields avg {35,35} = 35; Δ = 56.6̄ − 35 = 21.6̄.
-	st := Avg{}.State(temps)
-	removed := Avg{}.Remove(st, Avg{}.State([]float64{100}))
+	st := Avg{}.State(nil, temps)
+	removed := Avg{}.Remove(nil, st, Avg{}.State(nil, []float64{100}))
 	if got := (Avg{}).Recover(removed); !almostEqual(got, 35) {
 		t.Fatalf("avg after removing T6 = %v, want 35", got)
 	}
 	// Removing T4 yields avg {35,100} = 67.5; Δ = 56.6̄ − 67.5 = −10.8̄.
-	removed = Avg{}.Remove(st, Avg{}.State([]float64{35}))
+	removed = Avg{}.Remove(nil, st, Avg{}.State(nil, []float64{35}))
 	if got := (Avg{}).Recover(removed); !almostEqual(got, 67.5) {
 		t.Fatalf("avg after removing T4 = %v, want 67.5", got)
 	}
@@ -174,7 +240,7 @@ func TestRemovableEquivalenceProperty(t *testing.T) {
 		s := d[:k]
 		rest := d[k:]
 		for _, agg := range aggs {
-			got := agg.Recover(agg.Remove(agg.State(d), agg.State(s)))
+			got := agg.Recover(agg.Remove(nil, agg.State(nil, d), agg.State(nil, s)))
 			want := agg.Compute(rest)
 			ok := almostEqual(got, want)
 			if agg.Name() == "stddev" {
@@ -209,8 +275,8 @@ func TestUpdatePartitionProperty(t *testing.T) {
 			parts[i] = append(parts[i], v)
 		}
 		for _, agg := range aggs {
-			combined := agg.Update(agg.State(parts[0]), agg.State(parts[1]), agg.State(parts[2]))
-			whole := agg.State(d)
+			combined := agg.Update(agg.State(nil, parts[0]), agg.State(nil, parts[1]), agg.State(nil, parts[2]))
+			whole := agg.State(nil, d)
 			if !almostEqual(agg.Recover(combined), agg.Recover(whole)) {
 				return false
 			}

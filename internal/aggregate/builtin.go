@@ -1,6 +1,11 @@
 package aggregate
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sort"
+	"sync"
+)
 
 // Sum is the SUM aggregate: incrementally removable, independent, and
 // anti-monotonic when all inputs are non-negative (§5.3).
@@ -22,7 +27,7 @@ func (Sum) Compute(vals []float64) float64 {
 func (Sum) Independent() bool { return true }
 
 // State implements Removable: [sum].
-func (Sum) State(vals []float64) State { return State{Sum{}.Compute(vals)} }
+func (Sum) State(dst State, vals []float64) State { return append(dst[:0], Sum{}.Compute(vals)) }
 
 // Update implements Removable.
 func (Sum) Update(states ...State) State {
@@ -34,7 +39,7 @@ func (Sum) Update(states ...State) State {
 }
 
 // Remove implements Removable.
-func (Sum) Remove(d, s State) State { return State{d[0] - s[0]} }
+func (Sum) Remove(dst, d, s State) State { return append(dst[:0], d[0]-s[0]) }
 
 // Recover implements Removable.
 func (Sum) Recover(s State) float64 { return s[0] }
@@ -67,7 +72,7 @@ func (Count) Compute(vals []float64) float64 { return float64(len(vals)) }
 func (Count) Independent() bool { return true }
 
 // State implements Removable: [count].
-func (Count) State(vals []float64) State { return State{float64(len(vals))} }
+func (Count) State(dst State, vals []float64) State { return append(dst[:0], float64(len(vals))) }
 
 // Update implements Removable.
 func (Count) Update(states ...State) State {
@@ -79,7 +84,7 @@ func (Count) Update(states ...State) State {
 }
 
 // Remove implements Removable.
-func (Count) Remove(d, s State) State { return State{d[0] - s[0]} }
+func (Count) Remove(dst, d, s State) State { return append(dst[:0], d[0]-s[0]) }
 
 // Recover implements Removable.
 func (Count) Recover(s State) float64 { return s[0] }
@@ -109,8 +114,8 @@ func (Avg) Compute(vals []float64) float64 {
 func (Avg) Independent() bool { return true }
 
 // State implements Removable: [sum, count].
-func (Avg) State(vals []float64) State {
-	return State{Sum{}.Compute(vals), float64(len(vals))}
+func (Avg) State(dst State, vals []float64) State {
+	return append(dst[:0], Sum{}.Compute(vals), float64(len(vals)))
 }
 
 // Update implements Removable.
@@ -124,7 +129,7 @@ func (Avg) Update(states ...State) State {
 }
 
 // Remove implements Removable.
-func (Avg) Remove(d, s State) State { return State{d[0] - s[0], d[1] - s[1]} }
+func (Avg) Remove(dst, d, s State) State { return append(dst[:0], d[0]-s[0], d[1]-s[1]) }
 
 // Recover implements Removable. Empty state recovers NaN.
 func (Avg) Recover(s State) float64 {
@@ -143,20 +148,20 @@ func (Variance) Name() string { return "variance" }
 
 // Compute implements Func. Variance of fewer than one value is NaN.
 func (Variance) Compute(vals []float64) float64 {
-	return Variance{}.Recover(Variance{}.State(vals))
+	return Variance{}.Recover(Variance{}.State(nil, vals))
 }
 
 // Independent implements Func.
 func (Variance) Independent() bool { return true }
 
 // State implements Removable: [sum, sum of squares, count].
-func (Variance) State(vals []float64) State {
+func (Variance) State(dst State, vals []float64) State {
 	var sum, sumsq float64
 	for _, v := range vals {
 		sum += v
 		sumsq += v * v
 	}
-	return State{sum, sumsq, float64(len(vals))}
+	return append(dst[:0], sum, sumsq, float64(len(vals)))
 }
 
 // Update implements Removable.
@@ -171,8 +176,8 @@ func (Variance) Update(states ...State) State {
 }
 
 // Remove implements Removable.
-func (Variance) Remove(d, s State) State {
-	return State{d[0] - s[0], d[1] - s[1], d[2] - s[2]}
+func (Variance) Remove(dst, d, s State) State {
+	return append(dst[:0], d[0]-s[0], d[1]-s[1], d[2]-s[2])
 }
 
 // Recover implements Removable: E[X²] − E[X]², clamped at zero to absorb
@@ -206,13 +211,13 @@ func (StdDev) Compute(vals []float64) float64 {
 func (StdDev) Independent() bool { return true }
 
 // State implements Removable (same state as Variance).
-func (StdDev) State(vals []float64) State { return Variance{}.State(vals) }
+func (StdDev) State(dst State, vals []float64) State { return Variance{}.State(dst, vals) }
 
 // Update implements Removable.
 func (StdDev) Update(states ...State) State { return Variance{}.Update(states...) }
 
 // Remove implements Removable.
-func (StdDev) Remove(d, s State) State { return Variance{}.Remove(d, s) }
+func (StdDev) Remove(dst, d, s State) State { return Variance{}.Remove(dst, d, s) }
 
 // Recover implements Removable.
 func (StdDev) Recover(s State) float64 { return math.Sqrt(Variance{}.Recover(s)) }
@@ -278,17 +283,107 @@ type Median struct{}
 func (Median) Name() string { return "median" }
 
 // Compute implements Func. Median of no values is NaN; even-length inputs
-// average the two middle values.
+// average the two middle values. The middle values are found by selection
+// in O(n) on a pooled working copy (vals is not modified), under the order
+// sort.Float64s uses — NaN below everything, then −Inf … +Inf — so the
+// result is the one sorting would give. (Zeros of either sign compare
+// equal, so which one sits in the middle is unspecified either way.)
 func (Median) Compute(vals []float64) float64 {
-	if len(vals) == 0 {
+	n := len(vals)
+	if n == 0 {
 		return math.NaN()
 	}
-	s := sortedCopy(vals)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	buf := medianScratch.Get().(*[]float64)
+	w := append((*buf)[:0], vals...)
+	var m float64
+	if k := n / 2; n%2 == 1 {
+		m = selectKth(w, k)
+	} else {
+		// After selecting rank k−1 every later element ranks no lower, so
+		// rank k is the least of them. (A NaN after it means lo is NaN too,
+		// and so is the mean, so the plain comparison suffices.)
+		lo := selectKth(w, k-1)
+		hi := w[k]
+		for _, v := range w[k+1:] {
+			if v < hi {
+				hi = v
+			}
+		}
+		m = (lo + hi) / 2
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	*buf = w
+	medianScratch.Put(buf)
+	return m
+}
+
+// medianScratch recycles Median.Compute's working copies, so scoring a
+// black-box MEDIAN allocates nothing once the buffers have grown.
+var medianScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// selectKth reorders w so that w[k] holds the element of rank k under
+// sort.Float64s' order, every element before it ranks no higher and every
+// element after it no lower, and returns w[k].
+func selectKth(w []float64, k int) float64 {
+	// NaNs rank lowest: move them to the front.
+	nan := 0
+	for i, v := range w {
+		if math.IsNaN(v) {
+			w[i], w[nan] = w[nan], v
+			nan++
+		}
+	}
+	if k < nan {
+		return w[k]
+	}
+	// Quickselect with a median-of-three pivot and a three-way partition
+	// (ties cost nothing); after 2·log₂n rounds without converging, sort
+	// the remaining window, which bounds the worst case at O(n log n).
+	lo, hi := nan, len(w)-1
+	for rounds := 2 * bits.Len(uint(len(w))); lo < hi; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(w[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		p := median3(w[lo], w[mid], w[hi])
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := w[i]; {
+			case v < p:
+				w[lt], w[i] = v, w[lt]
+				lt++
+				i++
+			case v > p:
+				w[gt], w[i] = v, w[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return w[k]
+		}
+	}
+	return w[k]
+}
+
+// median3 returns the middle of three values.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		b = a
+	}
+	return b
 }
 
 // Independent implements Func.

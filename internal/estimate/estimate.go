@@ -394,7 +394,7 @@ func (e *Estimator) Levels() int { return e.nLevels }
 // statistics precomputed in restTail — and the interval maximizes
 // dir·s/max(1, cnt+t)^c jointly over t, so a large hidden mass cannot dodge
 // its own selectivity penalty.
-func (e *Estimator) groupInterval(g *groupSample, p predicate.Predicate, level int) Interval {
+func (e *Estimator) groupInterval(g *groupSample, p *predicate.Compiled, level int) Interval {
 	k := g.levels[level]
 	var cnts [nBands]int
 	var bsum, bsq [nBands]float64
@@ -402,14 +402,14 @@ func (e *Estimator) groupInterval(g *groupSample, p predicate.Predicate, level i
 	var sumZ float64
 	if g.vals == nil {
 		for i := 0; i < k; i++ {
-			if p.Match(e.tab, g.rows[i]) {
+			if p.Match(g.rows[i]) {
 				cnt++
 			}
 		}
 		sumZ = float64(cnt)
 	} else {
 		for i := 0; i < k; i++ {
-			if p.Match(e.tab, g.rows[i]) {
+			if p.Match(g.rows[i]) {
 				cnt++
 				b := g.bandID[i]
 				v := g.vals[i]
@@ -679,9 +679,10 @@ func (e *Estimator) tailSweep(dir, sumZ float64, cnt int, bands []*bandTail, cnt
 // fails the frontier is rejected without touching a single hold-out row.
 func (e *Estimator) OutlierInterval(p predicate.Predicate, level int) Interval {
 	var lo, hi float64
+	cp := p.Compile(e.tab)
 	for i := range e.out {
 		g := &e.out[i]
-		iv := e.groupInterval(g, p, level)
+		iv := e.groupInterval(g, cp, level)
 		lo += iv.Lo
 		hi += iv.Hi
 	}
@@ -693,9 +694,10 @@ func (e *Estimator) OutlierInterval(p predicate.Predicate, level int) Interval {
 // ladder level. Without hold-outs it is exactly [0,0].
 func (e *Estimator) PenaltyInterval(p predicate.Predicate, level int) Interval {
 	var pen Interval
+	cp := p.Compile(e.tab)
 	for i := range e.hold {
 		g := &e.hold[i]
-		iv := e.groupInterval(g, p, level)
+		iv := e.groupInterval(g, cp, level)
 		absLo := 0.0
 		if iv.Lo > 0 || iv.Hi < 0 {
 			absLo = math.Min(math.Abs(iv.Lo), math.Abs(iv.Hi))

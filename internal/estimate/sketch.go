@@ -85,20 +85,21 @@ func NewSketch(scorer *influence.Scorer, rowsPerGroup int) *Sketch {
 // sampling rate, then feed the same Δ/|p(g)|^c form the exact scorer uses.
 func (s *Sketch) Penalty(p predicate.Predicate) float64 {
 	worst := 0.0
+	cp := p.Compile(s.tab)
 	for i := range s.groups {
 		g := &s.groups[i]
 		cnt := 0
 		var sum float64
 		if g.vals == nil {
 			for _, r := range g.rows {
-				if p.Match(s.tab, r) {
+				if cp.Match(r) {
 					cnt++
 				}
 			}
 			sum = float64(cnt)
 		} else {
 			for j, r := range g.rows {
-				if p.Match(s.tab, r) {
+				if cp.Match(r) {
 					cnt++
 					sum += g.vals[j]
 				}

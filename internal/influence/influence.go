@@ -19,6 +19,14 @@
 // results by removing the state of the matched tuples — cost proportional to
 // |p(g)|. For black-box aggregates it recomputes agg(g − p(g)) — cost
 // proportional to |g|.
+//
+// Both paths share one kernel. A scoring call compiles the predicate once
+// (predicate.Compiled) and reuses it for every outlier and hold-out group;
+// Δ walks each group's RowSet run by run, and the matched values
+// (incremental) or remaining values (black-box) accumulate in row order in
+// pooled per-call scratch, so the aggregate sees exactly the inputs, in
+// exactly the order, that a row-at-a-time evaluation would give it. A warm
+// scoring call allocates nothing.
 package influence
 
 import (
@@ -153,6 +161,32 @@ type Scorer struct {
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
 	cache scoreCache
+	// scratch pools per-call working memory (*scratch), one per concurrent
+	// caller, so warm scoring calls allocate nothing.
+	scratch sync.Pool
+}
+
+// scratch is one scoring call's working memory: the predicate compiled
+// against the scorer's table, the group's projected values, and the
+// aggregate states of the incremental update.
+type scratch struct {
+	pred predicate.Compiled
+	// vals holds, in row order, the matched values (incremental path) or
+	// the remaining values (black-box path) of the group being scored.
+	vals []float64
+	fill []float64 // perturbation replacement values
+	st   aggregate.State
+	upd  aggregate.State
+}
+
+func newScratch() any { return new(scratch) }
+
+// compile takes a scratch from the pool with p compiled into it; callers
+// return it with s.scratch.Put.
+func (s *Scorer) compile(p predicate.Predicate) *scratch {
+	sc := s.scratch.Get().(*scratch)
+	sc.pred.Load(p, s.tab)
+	return sc
 }
 
 // cacheShards is the number of score-cache stripes. Keys hash across
@@ -242,17 +276,24 @@ func (c *scoreCache) reset() {
 	}
 }
 
+// newScorer sets up the parts of a scorer both constructors share.
+func newScorer(task *Task) *Scorer {
+	s := &Scorer{task: task, tab: task.Table.Data()}
+	if task.AggCol >= 0 {
+		s.aggVals = s.tab.Floats(task.AggCol)
+	}
+	s.cache.init()
+	s.scratch.New = newScratch
+	return s
+}
+
 // NewScorer builds a scorer, validating the task and choosing the
 // incremental path when the aggregate supports it.
 func NewScorer(task *Task) (*Scorer, error) {
 	if err := task.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Scorer{task: task, tab: task.Table.Data()}
-	if task.AggCol >= 0 {
-		s.aggVals = s.tab.Floats(task.AggCol)
-	}
-	s.cache.init()
+	s := newScorer(task)
 	if rem, ok := task.Agg.(aggregate.Removable); ok {
 		s.rem = rem
 	}
@@ -262,7 +303,7 @@ func NewScorer(task *Task) (*Scorer, error) {
 		for i, g := range groups {
 			vals := task.groupValues(g)
 			if s.rem != nil {
-				states[i] = s.rem.State(vals)
+				states[i] = s.rem.State(nil, vals)
 				orig[i] = s.rem.Recover(states[i])
 			} else {
 				orig[i] = task.Agg.Compute(vals)
@@ -297,11 +338,8 @@ func NewScorerSeeded(task *Task, outStates, holdStates []aggregate.State) (*Scor
 		return nil, fmt.Errorf("influence: seeded states mismatch groups: %d/%d outliers, %d/%d hold-outs",
 			len(outStates), len(task.Outliers), len(holdStates), len(task.HoldOuts))
 	}
-	s := &Scorer{task: task, tab: task.Table.Data(), rem: rem}
-	if task.AggCol >= 0 {
-		s.aggVals = s.tab.Floats(task.AggCol)
-	}
-	s.cache.init()
+	s := newScorer(task)
+	s.rem = rem
 	adopt := func(states []aggregate.State) ([]float64, []aggregate.State) {
 		orig := make([]float64, len(states))
 		own := make([]aggregate.State, len(states))
@@ -356,32 +394,60 @@ func (s *Scorer) value(r int) float64 {
 	return s.aggVals[r]
 }
 
-// delta computes Δagg(group, p) and the number of matched tuples.
-func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate.Predicate) (float64, int) {
+// appendRows appends the aggregate values of rows to dst.
+func (s *Scorer) appendRows(dst []float64, rows []int) []float64 {
+	if s.aggVals == nil {
+		for range rows {
+			dst = append(dst, 1)
+		}
+		return dst
+	}
+	for _, r := range rows {
+		dst = append(dst, s.aggVals[r])
+	}
+	return dst
+}
+
+// appendRange appends the aggregate values of rows [lo, hi) to dst.
+func (s *Scorer) appendRange(dst []float64, lo, hi int) []float64 {
+	if s.aggVals == nil {
+		for ; lo < hi; lo++ {
+			dst = append(dst, 1)
+		}
+		return dst
+	}
+	return append(dst, s.aggVals[lo:hi]...)
+}
+
+// delta computes Δagg(group, p) and the number of matched tuples for the
+// predicate compiled into sc. One scan of the group's runs collects, in
+// row order, the matched values (incremental path: state(p(g)) is removed
+// from the cached state(g)) or the remaining ones (black-box path:
+// agg(g − p(g)) is recomputed).
+func (s *Scorer) delta(sc *scratch, g Group, orig float64, state aggregate.State) (float64, int) {
 	s.calls.Add(1)
 	t := s.task
-	matched := 0
-	total := 0
-	var matchedVals, restVals []float64
-	if s.rem == nil {
-		restVals = make([]float64, 0, g.Rows.Count())
-	}
-	g.Rows.ForEach(func(r int) {
-		total++
-		if p.Match(s.tab, r) {
-			matched++
-			if s.rem != nil {
-				matchedVals = append(matchedVals, s.value(r))
-			}
-		} else if s.rem == nil {
-			restVals = append(restVals, s.value(r))
+	matched, total := 0, 0
+	vals := sc.vals[:0]
+	sc.pred.Scan(g.Rows, func(lo, hi int, sel []int) {
+		total += hi - lo
+		matched += len(sel)
+		if s.rem != nil {
+			vals = s.appendRows(vals, sel)
+			return
 		}
+		for _, r := range sel {
+			vals = s.appendRange(vals, lo, r)
+			lo = r + 1
+		}
+		vals = s.appendRange(vals, lo, hi)
 	})
+	sc.vals = vals
 	if matched == 0 {
 		return 0, 0
 	}
 	if t.Perturb != nil {
-		return s.perturbDelta(orig, state, matchedVals, restVals, matched), matched
+		return s.perturbDelta(sc, orig, state, matched), matched
 	}
 	if matched == total {
 		// The predicate deletes the whole input group: the output would
@@ -394,9 +460,11 @@ func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate
 	}
 	var updated float64
 	if s.rem != nil {
-		updated = s.rem.Recover(s.rem.Remove(state, s.rem.State(matchedVals)))
+		sc.st = s.rem.State(sc.st, vals)
+		sc.upd = s.rem.Remove(sc.upd, state, sc.st)
+		updated = s.rem.Recover(sc.upd)
 	} else {
-		updated = t.Agg.Compute(restVals)
+		updated = t.Agg.Compute(vals)
 	}
 	d := orig - updated
 	if math.IsNaN(d) || math.IsInf(d, 0) {
@@ -406,20 +474,22 @@ func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate
 }
 
 // perturbDelta computes the footnote-3 variant: matched values are replaced
-// by the target value rather than deleted.
-func (s *Scorer) perturbDelta(orig float64, state aggregate.State, matchedVals, restVals []float64, matched int) float64 {
+// by the target value rather than deleted. sc.vals holds what delta
+// collected.
+func (s *Scorer) perturbDelta(sc *scratch, orig float64, state aggregate.State, matched int) float64 {
 	target := *s.task.Perturb
-	replacement := make([]float64, matched)
-	for i := range replacement {
-		replacement[i] = target
+	sc.fill = sc.fill[:0]
+	for i := 0; i < matched; i++ {
+		sc.fill = append(sc.fill, target)
 	}
 	var updated float64
 	if s.rem != nil {
-		st := s.rem.Remove(state, s.rem.State(matchedVals))
-		st = s.rem.Update(st, s.rem.State(replacement))
-		updated = s.rem.Recover(st)
+		sc.st = s.rem.State(sc.st, sc.vals)
+		sc.upd = s.rem.Remove(sc.upd, state, sc.st)
+		updated = s.rem.Recover(s.rem.Update(sc.upd, s.rem.State(nil, sc.fill)))
 	} else {
-		updated = s.task.Agg.Compute(append(restVals, replacement...))
+		sc.vals = append(sc.vals, sc.fill...)
+		updated = s.task.Agg.Compute(sc.vals)
 	}
 	d := orig - updated
 	if math.IsNaN(d) || math.IsInf(d, 0) {
@@ -441,32 +511,44 @@ func (s *Scorer) scale(delta float64, n int) float64 {
 
 // OutlierInfluence computes inf(o_i, p, v_i) for outlier index i.
 func (s *Scorer) OutlierInfluence(i int, p predicate.Predicate) float64 {
+	sc := s.compile(p)
+	v := s.outlierInfluence(sc, i)
+	s.scratch.Put(sc)
+	return v
+}
+
+func (s *Scorer) outlierInfluence(sc *scratch, i int) float64 {
 	g := s.task.Outliers[i]
-	var st aggregate.State
-	if s.rem != nil {
-		st = s.outState[i]
-	}
-	d, n := s.delta(g, s.outOrig[i], st, p)
+	d, n := s.delta(sc, g, s.outOrig[i], s.outStateAt(i))
 	return s.scale(d, n) * float64(g.Direction)
 }
 
 // HoldOutInfluence computes inf(h_i, p) (no error vector) for hold-out i.
 func (s *Scorer) HoldOutInfluence(i int, p predicate.Predicate) float64 {
-	g := s.task.HoldOuts[i]
-	var st aggregate.State
-	if s.rem != nil {
-		st = s.holdState[i]
-	}
-	d, n := s.delta(g, s.holdOrig[i], st, p)
+	sc := s.compile(p)
+	v := s.holdOutInfluence(sc, i)
+	s.scratch.Put(sc)
+	return v
+}
+
+func (s *Scorer) holdOutInfluence(sc *scratch, i int) float64 {
+	d, n := s.delta(sc, s.task.HoldOuts[i], s.holdOrig[i], s.holdStateAt(i))
 	return s.scale(d, n)
 }
 
 // InfluenceOutliersOnly computes inf(O, ∅, p, V) — the hold-out-free
 // influence used by MC's conservative pruning (§6.2) — without the λ weight.
 func (s *Scorer) InfluenceOutliersOnly(p predicate.Predicate) float64 {
+	sc := s.compile(p)
+	v := s.outlierMean(sc)
+	s.scratch.Put(sc)
+	return v
+}
+
+func (s *Scorer) outlierMean(sc *scratch) float64 {
 	sum := 0.0
 	for i := range s.task.Outliers {
-		sum += s.OutlierInfluence(i, p)
+		sum += s.outlierInfluence(sc, i)
 	}
 	return sum / float64(len(s.task.Outliers))
 }
@@ -493,13 +575,18 @@ func (s *Scorer) influenceUncached(p predicate.Predicate) float64 {
 // Parts returns the two components of the objective: the mean outlier
 // influence and the hold-out penalty max_h |inf(h, p)| (0 without
 // hold-outs), before the λ weighting.
+//
+// The predicate is compiled once and reused for every outlier and hold-out
+// group.
 func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
-	outMean = s.InfluenceOutliersOnly(p)
+	sc := s.compile(p)
+	outMean = s.outlierMean(sc)
 	for i := range s.task.HoldOuts {
-		if h := math.Abs(s.HoldOutInfluence(i, p)); h > holdPenalty {
+		if h := math.Abs(s.holdOutInfluence(sc, i)); h > holdPenalty {
 			holdPenalty = h
 		}
 	}
+	s.scratch.Put(sc)
 	return outMean, holdPenalty
 }
 
@@ -507,13 +594,23 @@ func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
 // within outlier group i: Δagg(o, {t}) · v_o. Used by the DT partitioner to
 // label tuples. Cost is O(1) on the incremental path.
 func (s *Scorer) TupleOutlierInfluence(i, r int) float64 {
-	return s.tupleInfluence(s.task.Outliers[i], s.outOrig[i], s.outStateAt(i), r) *
-		float64(s.task.Outliers[i].Direction)
+	sc := s.scratch.Get().(*scratch)
+	v := s.tupleOutlierInfluence(sc, i, r)
+	s.scratch.Put(sc)
+	return v
+}
+
+func (s *Scorer) tupleOutlierInfluence(sc *scratch, i, r int) float64 {
+	g := s.task.Outliers[i]
+	return s.tupleInfluence(sc, g, s.outOrig[i], s.outStateAt(i), r) * float64(g.Direction)
 }
 
 // TupleHoldOutInfluence computes Δagg(h, {t}) for row r of hold-out group i.
 func (s *Scorer) TupleHoldOutInfluence(i, r int) float64 {
-	return s.tupleInfluence(s.task.HoldOuts[i], s.holdOrig[i], s.holdStateAt(i), r)
+	sc := s.scratch.Get().(*scratch)
+	v := s.tupleInfluence(sc, s.task.HoldOuts[i], s.holdOrig[i], s.holdStateAt(i), r)
+	s.scratch.Put(sc)
+	return v
 }
 
 func (s *Scorer) outStateAt(i int) aggregate.State {
@@ -530,32 +627,39 @@ func (s *Scorer) holdStateAt(i int) aggregate.State {
 	return s.holdState[i]
 }
 
-func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r int) float64 {
+// tupleInfluence computes Δagg(g, {r}) with sc's value and state buffers
+// (never its compiled predicate, which MaxTupleInfluence is scanning).
+func (s *Scorer) tupleInfluence(sc *scratch, g Group, orig float64, state aggregate.State, r int) float64 {
 	s.calls.Add(1)
 	t := s.task
+	var updated float64
 	if s.rem != nil {
-		st := s.rem.Remove(state, s.rem.State([]float64{s.value(r)}))
+		sc.vals = append(sc.vals[:0], s.value(r))
+		sc.st = s.rem.State(sc.st, sc.vals)
+		sc.upd = s.rem.Remove(sc.upd, state, sc.st)
+		st := sc.upd
 		if t.Perturb != nil {
-			st = s.rem.Update(st, s.rem.State([]float64{*t.Perturb}))
+			st = s.rem.Update(st, s.rem.State(nil, []float64{*t.Perturb}))
 		}
-		d := orig - s.rem.Recover(st)
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			return 0
+		updated = s.rem.Recover(st)
+	} else {
+		// Black-box: rebuild the group without row r (or with r's value
+		// replaced, in perturbation mode).
+		rest := sc.vals[:0]
+		g.Rows.ForEachRun(func(lo, hi int) {
+			if lo <= r && r < hi {
+				rest = s.appendRange(rest, lo, r)
+				lo = r + 1
+			}
+			rest = s.appendRange(rest, lo, hi)
+		})
+		if t.Perturb != nil {
+			rest = append(rest, *t.Perturb)
 		}
-		return d
+		sc.vals = rest
+		updated = t.Agg.Compute(rest)
 	}
-	// Black-box: rebuild the group without row r (or with r's value
-	// replaced, in perturbation mode).
-	rest := make([]float64, 0, g.Rows.Count())
-	g.Rows.ForEach(func(rr int) {
-		if rr != r {
-			rest = append(rest, s.value(rr))
-		}
-	})
-	if t.Perturb != nil {
-		rest = append(rest, *t.Perturb)
-	}
-	d := orig - t.Agg.Compute(rest)
+	d := orig - updated
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		return 0
 	}
@@ -566,16 +670,18 @@ func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r 
 // matched by p across the outlier groups — the upper bound used by MC's
 // second pruning rule (§6.2).
 func (s *Scorer) MaxTupleInfluence(p predicate.Predicate) float64 {
+	sc := s.compile(p)
 	best := math.Inf(-1)
 	for i, g := range s.task.Outliers {
-		g.Rows.ForEach(func(r int) {
-			if p.Match(s.tab, r) {
-				if v := s.TupleOutlierInfluence(i, r); v > best {
+		sc.pred.Scan(g.Rows, func(_, _ int, sel []int) {
+			for _, r := range sel {
+				if v := s.tupleOutlierInfluence(sc, i, r); v > best {
 					best = v
 				}
 			}
 		})
 	}
+	s.scratch.Put(sc)
 	return best
 }
 

@@ -678,7 +678,7 @@ func TestSeededScorerMatchesPlainScorer(t *testing.T) {
 		for i, g := range groups {
 			var vals []float64
 			g.Rows.ForEach(func(r int) { vals = append(vals, task.Value(r)) })
-			out[i] = rem.State(vals)
+			out[i] = rem.State(nil, vals)
 		}
 		return out
 	}
@@ -715,7 +715,7 @@ func TestSeededScorerErrors(t *testing.T) {
 	rem := task.Agg.(aggregate.Removable)
 	good := make([]aggregate.State, len(task.Outliers))
 	for i := range good {
-		good[i] = rem.State([]float64{1})
+		good[i] = rem.State(nil, []float64{1})
 	}
 	if _, err := NewScorerSeeded(task, good[:1], nil); err == nil {
 		t.Fatal("state-count mismatch accepted")

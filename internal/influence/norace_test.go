@@ -1,0 +1,5 @@
+//go:build !race
+
+package influence
+
+const raceEnabled = false

@@ -93,7 +93,7 @@ func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merge
 			task := scorer.Task()
 			m.rowStates = make(map[int]aggregate.State)
 			for _, g := range task.Outliers {
-				st := rem.State(groupValues(task, g))
+				st := rem.State(nil, groupValues(task, g))
 				m.groupStates = append(m.groupStates, st)
 				m.groupOrig = append(m.groupOrig, rem.Recover(st))
 			}
@@ -125,7 +125,7 @@ func (m *Merger) rowState(row int) aggregate.State {
 	if task.AggCol >= 0 {
 		v = task.Table.Floats(task.AggCol)[row]
 	}
-	st := m.rem.State([]float64{v})
+	st := m.rem.State(nil, []float64{v})
 	m.rowStates[row] = st
 	return st
 }
@@ -305,7 +305,7 @@ func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Can
 			continue
 		}
 		orig := m.groupOrig[gi]
-		updated := m.rem.Recover(m.rem.Remove(m.groupStates[gi], removedState))
+		updated := m.rem.Recover(m.rem.Remove(nil, m.groupStates[gi], removedState))
 		delta := orig - updated
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			continue

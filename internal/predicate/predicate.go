@@ -8,6 +8,15 @@
 // derived data. Discrete clauses hold dictionary codes of one specific base
 // table; a predicate is only meaningful against the table whose dictionaries
 // coded it.
+//
+// Evaluation has one path: Compile binds a predicate to a table's columns
+// once (a column slice plus bounds per range clause, a dictionary-code
+// bitmap per set clause), and the Compiled form scans a RowSet run by run,
+// the first clause filtering each block of rows and later clauses
+// narrowing the survivors. Match, Eval, Count and ContainedIn are thin
+// wrappers over it, and the influence scorer and sampling estimators hold
+// Compiled values directly so a search compiles each candidate once per
+// scoring call, not once per row.
 package predicate
 
 import (
@@ -57,23 +66,6 @@ func NewSetClause(col int, name string, codes []int32) Clause {
 		}
 	}
 	return Clause{Col: col, Name: name, Kind: relation.Discrete, Values: out}
-}
-
-// matchFloat reports whether the continuous clause admits v.
-func (c Clause) matchFloat(v float64) bool {
-	if v < c.Lo {
-		return false
-	}
-	if c.HiInc {
-		return v <= c.Hi
-	}
-	return v < c.Hi
-}
-
-// matchCode reports whether the discrete clause admits the code.
-func (c Clause) matchCode(code int32) bool {
-	i := sort.Search(len(c.Values), func(i int) bool { return c.Values[i] >= code })
-	return i < len(c.Values) && c.Values[i] == code
 }
 
 // isEmptyRange reports whether the continuous clause can match nothing.
@@ -185,36 +177,19 @@ func (p Predicate) Columns() []int {
 	return out
 }
 
-// Match reports whether row r of table t satisfies the predicate.
+// Match reports whether row r of table t satisfies the predicate. It
+// compiles the predicate per call; loops should Compile once and use
+// Compiled.Match or Compiled.Scan.
 func (p Predicate) Match(t *relation.Table, r int) bool {
-	for _, c := range p.clauses {
-		if c.Kind == relation.Continuous {
-			if !c.matchFloat(t.Floats(c.Col)[r]) {
-				return false
-			}
-		} else {
-			if !c.matchCode(t.Codes(c.Col)[r]) {
-				return false
-			}
-		}
-	}
-	return true
+	return p.Compile(t).Match(r)
 }
 
 // Eval returns the rows of universe (or the whole table when universe is
 // nil) that satisfy the predicate.
 func (p Predicate) Eval(t *relation.Table, universe *relation.RowSet) *relation.RowSet {
 	out := relation.NewRowSet(t.NumRows())
-	if universe == nil {
-		for r := 0; r < t.NumRows(); r++ {
-			if p.Match(t, r) {
-				out.Add(r)
-			}
-		}
-		return out
-	}
-	universe.ForEach(func(r int) {
-		if p.Match(t, r) {
+	p.Compile(t).Scan(universe, func(_, _ int, matched []int) {
+		for _, r := range matched {
 			out.Add(r)
 		}
 	})
@@ -224,19 +199,7 @@ func (p Predicate) Eval(t *relation.Table, universe *relation.RowSet) *relation.
 // Count returns |p(universe)| without materializing the row set.
 func (p Predicate) Count(t *relation.Table, universe *relation.RowSet) int {
 	n := 0
-	if universe == nil {
-		for r := 0; r < t.NumRows(); r++ {
-			if p.Match(t, r) {
-				n++
-			}
-		}
-		return n
-	}
-	universe.ForEach(func(r int) {
-		if p.Match(t, r) {
-			n++
-		}
-	})
+	p.Compile(t).Scan(universe, func(_, _ int, matched []int) { n += len(matched) })
 	return n
 }
 
@@ -393,22 +356,15 @@ func (p Predicate) Contains(o Predicate) bool {
 // ContainedIn implements the paper's p ≺D q relation semantically: p(D) ⊆
 // q(D) over the rows of universe. Unlike Contains, this consults the data.
 func (p Predicate) ContainedIn(q Predicate, t *relation.Table, universe *relation.RowSet) bool {
+	qc := q.Compile(t)
 	contained := true
-	check := func(r int) {
-		if !contained {
-			return
+	p.Compile(t).Scan(universe, func(_, _ int, matched []int) {
+		for _, r := range matched {
+			if contained && !qc.Match(r) {
+				contained = false
+			}
 		}
-		if p.Match(t, r) && !q.Match(t, r) {
-			contained = false
-		}
-	}
-	if universe == nil {
-		for r := 0; r < t.NumRows() && contained; r++ {
-			check(r)
-		}
-	} else {
-		universe.ForEach(check)
-	}
+	})
 	return contained
 }
 

@@ -1155,6 +1155,22 @@ func (s *RowSet) ForEach(fn func(row int)) {
 	}
 }
 
+// ForEachRun calls fn for every maximal run [lo, hi) of consecutive member
+// rows, in ascending order. Column kernels use it to work on contiguous
+// slices instead of one row at a time: a run-encoded group of a million
+// rows is a handful of calls, and a dense set yields its runs straight from
+// the bitmap words.
+func (s *RowSet) ForEachRun(fn func(lo, hi int)) {
+	it := s.iter()
+	for {
+		lo, hi, ok := it.next()
+		if !ok {
+			return
+		}
+		fn(lo, hi)
+	}
+}
+
 // Rows returns the member rows in ascending order.
 func (s *RowSet) Rows() []int {
 	out := make([]int, 0, s.Count())

@@ -155,8 +155,10 @@ func (t *Table) AllRows() *RowSet { return FullRowSet(t.n) }
 // order. Dictionaries are rebuilt so codes stay dense.
 func (t *Table) Gather(rows *RowSet) *Table {
 	b := NewBuilder(t.schema)
-	rows.ForEach(func(r int) {
-		b.MustAppend(t.Row(r))
+	rows.ForEachRun(func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			b.MustAppend(t.Row(r))
+		}
 	})
 	return b.Build()
 }
@@ -172,24 +174,24 @@ type ColumnStats struct {
 func (t *Table) FloatStats(col int, set *RowSet) ColumnStats {
 	vals := t.Floats(col)
 	st := ColumnStats{Min: math.Inf(1), Max: math.Inf(-1)}
-	consider := func(v float64) {
-		if math.IsNaN(v) {
-			return
+	scan := func(lo, hi int) {
+		for _, v := range vals[lo:hi] {
+			if math.IsNaN(v) {
+				continue
+			}
+			if v < st.Min {
+				st.Min = v
+			}
+			if v > st.Max {
+				st.Max = v
+			}
+			st.Count++
 		}
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-		st.Count++
 	}
 	if set == nil {
-		for _, v := range vals {
-			consider(v)
-		}
+		scan(0, len(vals))
 	} else {
-		set.ForEach(func(r int) { consider(vals[r]) })
+		set.ForEachRun(scan)
 	}
 	return st
 }

@@ -115,6 +115,30 @@ type Server struct {
 // defaultMaxUploadBytes bounds table uploads when MaxUploadBytes is unset.
 const defaultMaxUploadBytes = 256 << 20
 
+// maxRequestBytes bounds the JSON bodies of /query, /explain and /jobs.
+// Those requests carry SQL, group keys and knobs, never table data, so
+// 8 MiB leaves room for very large outlier lists while keeping one request
+// from buffering an unbounded body.
+const maxRequestBytes = 8 << 20
+
+// decodeRequest decodes a bounded JSON request body into dst. On failure it
+// writes the error response — 413 past maxRequestBytes, 400 otherwise —
+// and reports false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(dst)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", int64(maxRequestBytes)))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	return false
+}
+
 // New builds a single-table server with a default scheduler — the
 // pre-catalog convenience constructor. The table is registered under the
 // name "default" but requests may omit the table parameter while it is the
@@ -358,8 +382,7 @@ type QueryRow struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	entry, err := s.resolveTable(req.Table)
@@ -680,8 +703,7 @@ func explainResultJSON(res *scorpion.Result) map[string]any {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	async := req.Mode == "async" || r.URL.Query().Get("mode") == "async"
@@ -755,8 +777,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	plan, status, err := s.buildExplainTask(&req, obs.RequestID(r.Context()))

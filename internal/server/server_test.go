@@ -311,3 +311,30 @@ func TestExplainClientDisconnect(t *testing.T) {
 		t.Fatal("handler did not return after client disconnect")
 	}
 }
+
+// TestOversizedJSONBodies posts a body past maxRequestBytes to every
+// JSON-decoding endpoint: each must answer 413 instead of buffering it.
+func TestOversizedJSONBodies(t *testing.T) {
+	srv := New(testTable(t))
+	body := `{"sql":"` + strings.Repeat("x", maxRequestBytes+1) + `"}`
+	for _, path := range []string{"/query", "/explain", "/jobs"} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s oversized: status %d, want 413 (%s)", path, rec.Code, rec.Body.String())
+		}
+		if !strings.Contains(rec.Body.String(), "byte limit") {
+			t.Errorf("POST %s oversized: body %q does not name the limit", path, rec.Body.String())
+		}
+	}
+	// A malformed body under the limit is still a 400.
+	for _, path := range []string{"/query", "/explain", "/jobs"} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(`{"sql":`))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s malformed: status %d, want 400", path, rec.Code)
+		}
+	}
+}

@@ -120,7 +120,7 @@ func newTracker(tbl *relation.Table, sql string, q *query.AggregateQuery, res *q
 			Key:       row.Key,
 			KeyValues: row.KeyValues,
 			Rows:      row.Group,
-			State:     rem.State(tr.values(tbl, row.Group)),
+			State:     rem.State(nil, tr.values(tbl, row.Group)),
 		}
 	}
 	return tr, nil
@@ -212,7 +212,7 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 		local := row.Group
 		delta.TailRows += local.Count()
 		global := tail.GlobalRows(local)
-		tailState := tr.rem.State(tr.valuesView(tail, local))
+		tailState := tr.rem.State(nil, tr.valuesView(tail, local))
 		if g, ok := tr.groups[row.Key]; ok {
 			g.Rows.Or(global)
 			g.State = tr.rem.Update(g.State, tailState)
